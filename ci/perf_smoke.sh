@@ -136,67 +136,57 @@ EOF
 
 echo "perf smoke OK: fast-path digests identical to the heap path"
 
-# ---- engine-backend / noise-model conformance --------------------------------
-# The calendar-queue event structure and closed-form noise sampling are
-# documented as digest-neutral host tuning. Run the FWQ figure across
-# the full {calendar,heap} × {closed-form,per-tick} × {--threads 1,4}
-# grid and fail if any digest.* or final_cycle.* field moves. These are
-# hard assertions; the printed per-backend sim_cycles_per_sec ratio is
-# informational only (shared runners are too noisy to gate on).
+# ---- noise-model / driver conformance -----------------------------------------
+# Closed-form noise sampling is documented as digest-neutral host tuning.
+# Run the FWQ figure across {closed-form,per-tick} x {--threads 1,4}
+# and fail if any digest.* or final_cycle.* field moves. These are hard
+# assertions; the printed sim_cycles_per_sec ratio is informational
+# only (shared runners are too noisy to gate on).
 ref=""
-for backend in calendar heap; do
-  for noise in cf pt; do
-    for threads in 1 4; do
-      tag="fwq_${backend}_${noise}_t${threads}"
-      noise_flag=""
-      [ "$noise" = pt ] && noise_flag="--no-closed-form-noise"
-      "$fwq" --threads "$threads" --engine "$backend" $noise_flag \
-        --force --stats-out "$out/$tag.json"
-      validate_schema "$out/$tag.json"
-      extract "$out/$tag.json" > "$out/$tag.keys"
-      if [ -z "$ref" ]; then
-        ref="$tag"
-      elif ! diff -u "$out/$ref.keys" "$out/$tag.keys"; then
-        echo "FAIL: $tag diverged from $ref" >&2
-        exit 1
-      fi
-    done
+for noise in cf pt; do
+  for threads in 1 4; do
+    tag="fwq_${noise}_t${threads}"
+    noise_flag=""
+    [ "$noise" = pt ] && noise_flag="--no-closed-form-noise"
+    "$fwq" --threads "$threads" $noise_flag --force --stats-out "$out/$tag.json"
+    validate_schema "$out/$tag.json"
+    extract "$out/$tag.json" > "$out/$tag.keys"
+    if [ -z "$ref" ]; then
+      ref="$tag"
+    elif ! diff -u "$out/$ref.keys" "$out/$tag.keys"; then
+      echo "FAIL: $tag diverged from $ref" >&2
+      exit 1
+    fi
   done
 done
-[ -s "$out/$ref.keys" ] || { echo "FAIL: no engine-matrix digests extracted" >&2; exit 1; }
-echo "perf smoke OK: $(grep -c '^digest\.' "$out/$ref.keys") digests identical across {calendar,heap} x {closed-form,per-tick} x {1,4 threads}"
+[ -s "$out/$ref.keys" ] || { echo "FAIL: no noise-matrix digests extracted" >&2; exit 1; }
+echo "perf smoke OK: $(grep -c '^digest\.' "$out/$ref.keys") digests identical across {closed-form,per-tick} x {1,4 threads}"
 
-# Same backend diff on the Fig. 8 sweep: the near-neighbor workload
-# stresses the engine's cross-domain scheduling rather than FWQ's
-# compute-stretch regime.
-"$bin" --threads 1 --engine heap --force --stats-out "$out/fig8_bheap.json"
-extract "$out/fig8_bheap.json" > "$out/fig8_bheap.keys"
-if ! diff -u "$out/t1.keys" "$out/fig8_bheap.keys"; then
-  echo "FAIL: fig8 heap backend diverged from the calendar default" >&2
-  exit 1
-fi
-echo "perf smoke OK: fig8 digests identical across calendar/heap backends"
-
-# Reject-invalid-flag check: the bench CLI must refuse a bogus backend
-# with a clean error, not a panic or a silent default.
-if "$fwq" --engine splay --force --stats-out "$out/bogus.json" 2>"$out/bogus.err"; then
-  echo "FAIL: --engine splay was accepted" >&2
-  exit 1
-fi
-grep -qi "calendar" "$out/bogus.err" \
-  || { echo "FAIL: --engine splay error did not name the valid backends" >&2; exit 1; }
-echo "perf smoke OK: invalid --engine value rejected cleanly"
-
-python3 - "$out/fwq_calendar_cf_t1.json" "$out/fwq_heap_pt_t1.json" <<'EOF'
+python3 - "$out/fwq_cf_t1.json" "$out/fwq_pt_t1.json" <<'EOF'
 import json, sys
-cal = json.load(open(sys.argv[1]))["scalars"]
-ref = json.load(open(sys.argv[2]))["scalars"]
+cf = json.load(open(sys.argv[1]))["scalars"]
+pt = json.load(open(sys.argv[2]))["scalars"]
 for kernel in ("cnk", "linux"):
     key = f"host.{kernel}.sim_cycles_per_sec"
-    c, r = cal.get(key, 0.0), ref.get(key, 0.0)
+    c, r = cf.get(key, 0.0), pt.get(key, 0.0)
     ratio = c / r if r else float("nan")
-    print(f"{key}: calendar+closed-form {c:.3e}  heap+per-tick {r:.3e}  ratio {ratio:.2f}x")
+    print(f"{key}: closed-form {c:.3e}  per-tick {r:.3e}  ratio {ratio:.2f}x")
 EOF
+
+# Reject-unknown-flag check: the deleted engine knobs (and any other
+# unknown flag) must be refused with a usage error (exit 2) that names
+# the flag, never silently ignored.
+for bogus in "--engine heap" "--compact-min-dead 8"; do
+  flag="${bogus%% *}"
+  set +e
+  "$fwq" $bogus --force --stats-out "$out/bogus.json" 2>"$out/bogus.err"
+  code=$?
+  set -e
+  [ "$code" -eq 2 ] || { echo "FAIL: $bogus exited $code, expected 2" >&2; exit 1; }
+  grep -q -- "$flag" "$out/bogus.err" \
+    || { echo "FAIL: $bogus error did not name the flag" >&2; exit 1; }
+done
+echo "perf smoke OK: unknown engine flags rejected with exit 2"
 
 # ---- RAS fault-injection smoke ----------------------------------------------
 # 1) A seeded fault schedule must itself be driver-invariant: fig8 with
@@ -264,9 +254,8 @@ echo "perf smoke OK: RAS fault smoke passed"
 # ---- rack-scale layout smoke -------------------------------------------------
 # Small fig_scale sweep (64 and 512 nodes keep the leg CI-sized; the
 # checked-in BENCH_scale.json is the full sweep on the reference host).
-# Gates: the lazy SoA/slab layout must be digest-identical to the eager
-# (pre-refactor) layout, digests must agree across --threads 1/4 shard
-# pools, and the report must carry the scale.* memory block.
+# Gates: digests must agree across --threads 1/4 shard pools, and the
+# report must carry the scale.* memory block.
 scale=./target/release/fig_scale
 [ -x "$scale" ] || { echo "error: $scale not built (cargo build --release first)" >&2; exit 1; }
 
@@ -294,17 +283,10 @@ for n in (64, 512):
     assert f"digest.n{n}" in g, f"missing digest.n{n}"
     for k in ("resident_bytes", "bytes_per_node", "events_per_sec"):
         assert f"scale.n{n}.{k}" in s, f"missing scale.n{n}.{k}"
-cmp = int(s["scale.compare_nodes"])
-assert g[f"digest.eager.n{cmp}"] == g[f"digest.n{cmp}"], \
-    "eager layout digest diverged from lazy"
 assert "host.peak_rss_bytes" in s, "missing host.peak_rss_bytes"
-red = s["scale.layout_reduction_x"]
-assert red >= 1.0, f"lazy layout uses MORE memory than eager ({red:.2f}x)"
-print(f"fig_scale: eager/lazy digests identical at {cmp} nodes, "
-      f"layout reduction {red:.1f}x, "
-      f"{s['scale.n512.bytes_per_node']:.0f} B/node at 512 nodes")
+print(f"fig_scale: {s['scale.n512.bytes_per_node']:.0f} B/node at 512 nodes")
 EOF
-echo "perf smoke OK: rack-scale layout digests identical (eager/lazy, threads 1/4)"
+echo "perf smoke OK: rack-scale digests identical across --threads 1/4"
 
 # 3) Panic-free kernel core: ciod, bgsim, cnk, and bgcheck all carry
 #    #![deny(clippy::unwrap_used)] in-source; a plain clippy run is the

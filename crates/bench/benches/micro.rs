@@ -6,7 +6,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use bgsim::config::EngineBackend;
 use bgsim::engine::{Engine, EvKind};
 use bgsim::parsim::{DomainLogic, Outbox, ParSim};
 use ciod::{IoProxy, Vfs};
@@ -17,7 +16,7 @@ use sysabi::{Fd, OpenFlags, SysReq, Tid};
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine_schedule_pop_1k", |b| {
         b.iter(|| {
-            let mut e = Engine::new();
+            let mut e = Engine::new(1);
             for i in 0..1000u64 {
                 e.schedule(i * 7 % 997, EvKind::Kernel { node: 0, tag: i });
             }
@@ -34,7 +33,7 @@ fn bench_engine(c: &mut Criterion) {
     // compaction.
     c.bench_function("engine_cancel_discard_1k", |b| {
         b.iter(|| {
-            let mut e = Engine::with_shape(4, 256);
+            let mut e = Engine::new(4);
             let handles: Vec<_> = (0..1000u64)
                 .map(|i| {
                     e.schedule_dom(
@@ -57,44 +56,6 @@ fn bench_engine(c: &mut Criterion) {
             black_box((n, e.stats().stale_discarded))
         })
     });
-}
-
-fn bench_engine_backends(c: &mut Criterion) {
-    // Calendar queue vs binary heap across event densities. The hold
-    // model: keep a steady population of pending events, pop the
-    // earliest, reschedule one at now + delta. `delta` controls density
-    // — small deltas pack events into the near-horizon window (the
-    // calendar's O(1) regime), large deltas scatter them into the
-    // sparse/far-future overflow (where it degrades toward the heap).
-    // 8k transactions over a 1k-event population per measurement.
-    const POP: u64 = 1000;
-    const TXNS: u64 = 8000;
-    for (density, spread) in [("dense", 64u64), ("medium", 2048), ("sparse", 65536)] {
-        for backend in [EngineBackend::Calendar, EngineBackend::Heap] {
-            let name = format!("engine_backends/{density}/{}", backend.label());
-            c.bench_function(&name, |b| {
-                b.iter(|| {
-                    let mut e = Engine::with_config(1, 256, backend, 64);
-                    // Deterministic LCG stands in for arrival jitter.
-                    let mut lcg = 0x2545_f491_4f6c_dd1du64;
-                    let mut delta = |spread: u64| {
-                        lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        1 + (lcg >> 33) % spread
-                    };
-                    for i in 0..POP {
-                        e.schedule(delta(spread), EvKind::Kernel { node: 0, tag: i });
-                    }
-                    let mut acc = 0u64;
-                    for i in 0..TXNS {
-                        let ev = e.pop().expect("population never drains");
-                        acc = acc.wrapping_add(ev.at);
-                        e.schedule(ev.at + delta(spread), EvKind::Kernel { node: 0, tag: i });
-                    }
-                    black_box(acc)
-                })
-            });
-        }
-    }
 }
 
 /// A 64-domain broadcast: domain 0 fans a `NetDeliver` out to every
@@ -313,7 +274,6 @@ fn bench_torus_batching(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
-    bench_engine_backends,
     bench_parsim,
     bench_futex,
     bench_partitioner,

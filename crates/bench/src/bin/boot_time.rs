@@ -24,7 +24,7 @@ fn human(seconds: f64) -> String {
 
 fn main() {
     const HZ: f64 = 10.0;
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     println!("== §III: boot time at {HZ} Hz (VHDL cycle-accurate simulation) ==\n");
 
     let reports = [

@@ -18,7 +18,7 @@
 //! the event-reduction fast path and cross-checks that its digests
 //! match the heap path exactly.
 
-use bench::cli::Cli;
+use bench::cli::{Cli, Shared};
 use bench::harness::{run_fwq_tuned, KernelKind, Tuning};
 use bench::monitor::Monitor;
 use bench::par::run_shards;
@@ -40,7 +40,12 @@ struct KernelShard {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[
+        Shared::Threads,
+        Shared::Tuning,
+        Shared::Faults,
+        Shared::Monitor,
+    ]);
     let samples = cli.pos(0).unwrap_or(12_000u32);
     let fast = cli.fast_path;
     let tuning = Tuning::from_cli(&cli);
@@ -81,7 +86,6 @@ fn main() {
 
     let mut report = Report::new("fig5_7_fwq");
     report.scalar("config.fast_path", if fast { 1.0 } else { 0.0 });
-    report.string("config.engine_backend", tuning.engine_backend.label());
     report.scalar(
         "config.closed_form_noise",
         if tuning.closed_form_noise { 1.0 } else { 0.0 },

@@ -16,7 +16,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use bench::cli::Cli;
+use bench::cli::{Cli, Shared};
 use bench::harness::{nn_throughput_run_tuned, KernelKind, SimRun, Tuning};
 use bench::monitor::Monitor;
 use bench::par::run_shards;
@@ -25,7 +25,12 @@ use bench::table::render;
 use bgsim::telemetry::ProfileSnapshot;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[
+        Shared::Threads,
+        Shared::Tuning,
+        Shared::Faults,
+        Shared::Monitor,
+    ]);
     println!("== Fig. 8: rendezvous near-neighbor exchange throughput ==\n");
     let nodes = 64; // 4x4x4 torus: 6 distinct neighbors, the paper's case
     let sizes: Vec<u64> = (9..=22).map(|p| 1u64 << p).collect(); // 512 B .. 4 MB
@@ -76,7 +81,6 @@ fn main() {
 
     let mut report = Report::new("fig8_throughput");
     report.scalar("config.fast_path", if fast { 1.0 } else { 0.0 });
-    report.string("config.engine_backend", tuning.engine_backend.label());
     report.scalar(
         "config.closed_form_noise",
         if tuning.closed_form_noise { 1.0 } else { 0.0 },

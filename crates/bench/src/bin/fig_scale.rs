@@ -14,18 +14,13 @@
 //! * memory — `Machine::resident_bytes_estimate()` and its per-node
 //!   amortization, the SoA/slab layout's figure of merit.
 //!
-//! At the comparison count (4096 in the default sweep) it re-runs the
-//! same configuration under `eager_layout` — the pre-refactor
-//! materialize-everything footprint — asserts the digests are
-//! bit-identical (the layout is reservation-only by contract), and
-//! reports the bytes/node reduction. `ci/perf_smoke.sh` gates on the
-//! report; the checked-in `BENCH_scale.json` is this bin's output on
-//! the reference host.
+//! `ci/perf_smoke.sh` gates on the report; the checked-in
+//! `BENCH_scale.json` is this bin's output on the reference host.
 //!
 //! Positional args override the sweep (`fig_scale 64 512`), which is
 //! how the CI smoke leg keeps its runtime bounded.
 
-use bench::cli::Cli;
+use bench::cli::{Cli, Shared};
 use bench::harness::{KernelKind, Tuning};
 use bench::par::run_shards;
 use bench::report::{peak_rss_bytes, Report};
@@ -52,14 +47,10 @@ struct ScaleRun {
 }
 
 /// Boot `nodes` nodes, run one short FWQ quantum per node, return the
-/// run's evidence. `eager` selects the legacy materialize-everything
-/// layout; digests must not move with it.
-fn scale_run(nodes: u32, eager: bool, tuning: &Tuning) -> ScaleRun {
-    let cfg = tuning
-        .apply(MachineConfig::nodes(nodes).with_seed(SEED))
-        .with_eager_layout(eager);
+/// run's evidence.
+fn scale_run(nodes: u32, tuning: &Tuning) -> ScaleRun {
     let mut m = Machine::new(
-        cfg,
+        tuning.apply(MachineConfig::nodes(nodes).with_seed(SEED)),
         KernelKind::Cnk.build(),
         Box::new(Dcmf::with_defaults()),
     );
@@ -99,7 +90,7 @@ fn human_bytes(b: f64) -> String {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[Shared::Threads, Shared::Tuning]);
     let counts: Vec<u32> = if cli.rest.is_empty() {
         vec![64, 1024, 4096, 32_768, 131_072]
     } else {
@@ -125,30 +116,9 @@ fn main() {
 
     let jobs: Vec<_> = counts
         .iter()
-        .map(|&n| move || scale_run(n, false, &tuning))
+        .map(|&n| move || scale_run(n, &tuning))
         .collect();
     let runs = run_shards(cli.threads, jobs);
-
-    // Eager-layout comparison at the largest count <= 4096 (the rack):
-    // the legacy footprint at 32k+ nodes is exactly what this PR
-    // removes, so re-materializing it there would defeat the sweep.
-    let cmp_nodes = counts
-        .iter()
-        .copied()
-        .filter(|&n| n <= 4096)
-        .max()
-        .unwrap_or_else(|| counts.iter().copied().min().unwrap());
-    let eager = scale_run(cmp_nodes, true, &tuning);
-    let lazy_cmp = runs
-        .iter()
-        .find(|r| r.nodes == cmp_nodes)
-        .expect("comparison count is part of the sweep");
-    assert_eq!(
-        eager.digest, lazy_cmp.digest,
-        "eager_layout must be reservation-only: digest moved at {cmp_nodes} nodes"
-    );
-    assert_eq!(eager.final_cycle, lazy_cmp.final_cycle);
-    let reduction = eager.resident_bytes as f64 / lazy_cmp.resident_bytes.max(1) as f64;
 
     let mut report = Report::new("fig_scale");
     let mut rows = Vec::new();
@@ -200,36 +170,6 @@ fn main() {
         )
     );
 
-    println!(
-        "\nlayout comparison at {cmp_nodes} nodes (digest {:016x} identical):",
-        eager.digest
-    );
-    println!(
-        "  eager (pre-refactor): {} ({:.0} B/node)",
-        human_bytes(eager.resident_bytes as f64),
-        eager.resident_bytes as f64 / cmp_nodes as f64
-    );
-    println!(
-        "  lazy SoA/slab:        {} ({:.0} B/node)",
-        human_bytes(lazy_cmp.resident_bytes as f64),
-        lazy_cmp.resident_bytes as f64 / cmp_nodes as f64
-    );
-    println!("  reduction:            {reduction:.1}x");
-
-    report.string(
-        &format!("digest.eager.n{cmp_nodes}"),
-        &format!("{:016x}", eager.digest),
-    );
-    report.scalar("scale.compare_nodes", cmp_nodes as f64);
-    report.scalar(
-        &format!("scale.eager.n{cmp_nodes}.resident_bytes"),
-        eager.resident_bytes as f64,
-    );
-    report.scalar(
-        &format!("scale.eager.n{cmp_nodes}.bytes_per_node"),
-        eager.resident_bytes as f64 / cmp_nodes as f64,
-    );
-    report.scalar("scale.layout_reduction_x", reduction);
     report.scalar(
         "scale.max_nodes",
         counts.iter().copied().max().unwrap_or(0) as f64,

@@ -108,7 +108,7 @@ fn run(kernel: Box<dyn bgsim::Kernel>, samples: u32, with_io: bool, faults: &Fau
 }
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[bench::cli::Shared::Faults]);
     let samples = cli.pos(0).unwrap_or(4_000u32);
     let faults = cli.fault_spec_for(1); // single-node runs
     println!("== §IV.A: concurrent checkpoint I/O vs FWQ noise on cores 1-3 ==\n");

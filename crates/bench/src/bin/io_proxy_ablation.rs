@@ -62,7 +62,7 @@ fn run(nodes: u32, bgl: bool) -> AblationRun {
 }
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[]);
     println!("== §IV.A ablation: per-process ioproxies (BG/P) vs serialized CIOD (BG/L) ==");
     println!("   (every rank checkpoints simultaneously through one I/O node)\n");
     let mut report = bench::report::Report::new("io_proxy_ablation");

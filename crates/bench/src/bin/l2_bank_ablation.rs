@@ -47,7 +47,7 @@ fn run(map: L2BankMap, streams: u32) -> (u64, Machine) {
 }
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[]);
     println!("== §III: L2 bank-mapping sensitivity (64 MiB stream per core) ==\n");
     // The per-op stream cost model includes the conflict factor via the
     // chip configuration; show both the cost-model view and the end-to-

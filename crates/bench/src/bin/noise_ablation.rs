@@ -48,7 +48,7 @@ fn run_with(noise: Vec<fwk::noise::NoiseSource>, samples: u32) -> (Vec<f64>, u64
 }
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[]);
     let samples = cli.pos(0).unwrap_or(4_000u32);
     println!("== Noise ablation: per-core max FWQ perturbation (cycles), {samples} samples ==\n");
     let profile = linux_2_6_16_profile();

@@ -68,7 +68,7 @@ fn bsp_runtime(nodes: u32, noise: Vec<NoiseSource>, iters: u32) -> (u64, Machine
 }
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[]);
     let iters = cli.pos(0).unwrap_or(1500u32);
     println!("== Noise injection on CNK: same 0.1% intensity, different granularity ==");
     println!("   (BSP loop: 1 ms compute + allreduce, {iters} iterations)\n");

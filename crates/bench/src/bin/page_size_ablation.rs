@@ -10,7 +10,7 @@ use bench::table::render;
 use cnk::mem::{partition_node, ProcRequirements};
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[]);
     println!("== Partitioner ablation: TLB budget vs min page size vs waste ==\n");
     let req = ProcRequirements {
         text_bytes: 24 << 20,

@@ -62,7 +62,7 @@ fn build() -> Machine {
 }
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[]);
     let mut report = bench::report::Report::new("repro_bringup");
     println!("== §III: reproducibility & bringup workflow ==\n");
 

@@ -12,7 +12,7 @@ use bench::stats::Summary;
 use bench::table::render;
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[bench::cli::Shared::Threads]);
     // Iteration counts scaled down 20x by default; pass an arg to raise.
     let scale: u32 = cli.pos(0).unwrap_or(20);
     let cnk_iters = 1_000_000 / scale;

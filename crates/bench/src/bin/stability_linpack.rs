@@ -13,7 +13,7 @@ use bgsim::telemetry::ProfileSnapshot;
 use workloads::linpack::LinpackConfig;
 
 fn main() {
-    let cli = bench::cli::Cli::parse();
+    let cli = bench::cli::Cli::parse(&[]);
     let runs: u64 = cli.pos(0).unwrap_or(36);
     let nodes = 16;
     let cfg = LinpackConfig {

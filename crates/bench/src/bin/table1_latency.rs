@@ -7,7 +7,7 @@ use bench::table::render;
 use bgsim::telemetry::ProfileSnapshot;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     println!("== Table I: Latency for various programming models (SMP mode) ==\n");
     let mut report = Report::new("table1_latency");
     let mut merged_profile = ProfileSnapshot::default();

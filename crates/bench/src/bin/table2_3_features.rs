@@ -7,7 +7,7 @@ use bench::table::render;
 use bgsim::features::Capability;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[]);
     let cnk = cnk::features::matrix();
     let linux = fwk::features::matrix();
 

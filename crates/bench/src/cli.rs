@@ -1,7 +1,7 @@
 //! Minimal flag parsing shared by every benchmark binary.
 //!
-//! All 14 bins accept the same observability flags on top of their
-//! positional arguments:
+//! Every bin accepts these output flags on top of its positional
+//! arguments:
 //!
 //! * `--stats-out <path>` — write the run's [`crate::report::Report`]
 //!   to a file (`.txt` extension selects the gem5-style flat format,
@@ -10,46 +10,73 @@
 //!   `.txt` stats path);
 //! * `--trace-out <path>` — where a bin records tracepoints, write the
 //!   Chrome/Perfetto trace-event JSON there;
-//! * `--monitor-out <path>` — append live-progress snapshots (JSON
-//!   lines) there while the bin runs; `bgtop <path>` tails the file and
-//!   renders a per-node/per-subsystem view. Host-side observability
-//!   only — simulated results are unaffected;
 //! * `--force` — allow `--stats-out`/`--trace-out` to overwrite an
 //!   existing file (refused otherwise, so a rerun cannot silently
-//!   clobber a previous run's evidence);
-//! * `--threads <n>` — host worker threads for bins that shard their
-//!   independent simulations across a pool (`bench::par`). Results are
-//!   bit-identical for any value; 1 (the default) runs inline. Zero is
-//!   rejected — an accidental `--threads 0` used to be silently clamped
-//!   to 1, masking the typo.
-//! * `--no-fast-path` — disable the digest-identical event-reduction
-//!   fast path (`MachineConfig::fast_path`); used to baseline its
-//!   speedup and to cross-check trace digests against the heap path.
-//! * `--engine {heap,calendar}` — event-queue structure backing each
-//!   domain (`MachineConfig::engine_backend`). Digest-identical by
-//!   contract; the flag exists to measure and cross-check the backends.
-//! * `--no-closed-form-noise` — schedule FWK noise ticks as per-tick
-//!   heap events instead of sampling them closed-form
-//!   (`MachineConfig::closed_form_noise`); digest-identical reference.
-//! * `--compact-min-dead <n>` — dead-entry floor before a domain queue
-//!   compacts (`MachineConfig::compact_min_dead`, default 64); 0 is
-//!   rejected here with a usage error rather than panicking later in
-//!   config validation.
-//! * `--fault-seed <u64>` — derive a survivable fault schedule from the
-//!   seed ([`bgsim::fault::FaultSchedule::from_seed`]);
-//! * `--fault-script <path>` — load an explicit fault schedule
-//!   (`<cycle> <node> <kind> [arg]` lines). Mutually exclusive with
-//!   `--fault-seed`.
+//!   clobber a previous run's evidence).
+//!
+//! The remaining shared flags only mean something to the bins that
+//! apply them; each bin names its [`Shared`] groups when it parses, and
+//! a flag from any other group is rejected instead of silently ignored:
+//!
+//! * [`Shared::Threads`]: `--threads <n>` — host worker threads for
+//!   bins that shard their independent simulations across a pool
+//!   (`bench::par`). Results are bit-identical for any value; 1 (the
+//!   default) runs inline. Zero is rejected.
+//! * [`Shared::Tuning`]: `--no-fast-path` disables the digest-identical
+//!   event-reduction fast path (`MachineConfig::fast_path`);
+//!   `--no-closed-form-noise` schedules FWK noise ticks as per-tick heap
+//!   events instead of sampling them closed-form
+//!   (`MachineConfig::closed_form_noise`). Both are the reference modes
+//!   the optimizations are digest-pinned against.
+//! * [`Shared::Faults`]: `--fault-seed <u64>` derives a survivable fault
+//!   schedule from the seed
+//!   ([`bgsim::fault::FaultSchedule::from_seed`]); `--fault-script
+//!   <path>` loads an explicit one (`<cycle> <node> <kind> [arg]`
+//!   lines). Mutually exclusive.
+//! * [`Shared::Monitor`]: `--monitor-out <path>` appends live-progress
+//!   snapshots (JSON lines) there while the bin runs; `bgtop <path>`
+//!   tails the file. Host-side observability only.
 //!
 //! Bad flag input is a usage error: message on stderr, exit code 2 —
 //! never a panic (`Cli::parse_from` returns the error for callers that
-//! want to handle it themselves, e.g. tests). Repeating a
-//! value-carrying flag (`--stats-out a --stats-out b`) is rejected the
-//! same way instead of silently keeping the last value.
+//! want to handle it themselves, e.g. tests). An unknown flag, a shared
+//! flag the bin does not apply, and a repeated value-carrying flag
+//! (`--stats-out a --stats-out b`) are all rejected this way.
 //!
 //! Hand-rolled because the workspace carries no external CLI dependency.
 
 use std::path::PathBuf;
+
+/// A group of shared flags that only some bins apply (see the module
+/// docs for the flags in each group).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Shared {
+    Threads,
+    Tuning,
+    Faults,
+    Monitor,
+}
+
+impl Shared {
+    pub const ALL: [Shared; 4] = [
+        Shared::Threads,
+        Shared::Tuning,
+        Shared::Faults,
+        Shared::Monitor,
+    ];
+
+    fn flags(self) -> &'static [&'static str] {
+        match self {
+            Shared::Threads => &["--threads"],
+            Shared::Tuning => &["--no-fast-path", "--no-closed-form-noise"],
+            Shared::Faults => &["--fault-seed", "--fault-script"],
+            Shared::Monitor => &["--monitor-out"],
+        }
+    }
+}
+
+/// Flags every bin accepts.
+const OUTPUT_FLAGS: [&str; 4] = ["--stats-out", "--json", "--trace-out", "--force"];
 
 #[derive(Clone, Debug)]
 pub struct Cli {
@@ -64,12 +91,8 @@ pub struct Cli {
     pub threads: usize,
     /// Event-reduction fast path (on unless `--no-fast-path`).
     pub fast_path: bool,
-    /// Event-queue backend (`--engine {heap,calendar}`).
-    pub engine_backend: bgsim::config::EngineBackend,
     /// Closed-form FWK noise (on unless `--no-closed-form-noise`).
     pub closed_form_noise: bool,
-    /// Engine compaction floor override (`--compact-min-dead`).
-    pub compact_min_dead: Option<usize>,
     /// Seeded fault schedule (`--fault-seed`).
     pub fault_seed: Option<u64>,
     /// Explicit fault schedule file (`--fault-script`).
@@ -88,9 +111,7 @@ impl Default for Cli {
             force: false,
             threads: 1,
             fast_path: true,
-            engine_backend: bgsim::config::EngineBackend::default(),
             closed_form_noise: true,
-            compact_min_dead: None,
             fault_seed: None,
             fault_script: None,
             rest: Vec::new(),
@@ -99,10 +120,11 @@ impl Default for Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments (skipping argv[0]). A malformed flag
-    /// is a usage error: message on stderr, exit code 2.
-    pub fn parse() -> Cli {
-        match Self::parse_from(std::env::args().skip(1)) {
+    /// Parse the process arguments (skipping argv[0]) for a bin that
+    /// applies the `applies` shared-flag groups. A malformed, unknown or
+    /// unapplied flag is a usage error: message on stderr, exit code 2.
+    pub fn parse(applies: &[Shared]) -> Cli {
+        match Self::parse_from(std::env::args().skip(1), applies) {
             Ok(cli) => cli,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -111,119 +133,89 @@ impl Cli {
         }
     }
 
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        applies: &[Shared],
+    ) -> Result<Cli, String> {
         let mut cli = Cli::default();
         let mut it = args.into_iter();
+        let accepted = || {
+            let mut flags = OUTPUT_FLAGS.to_vec();
+            for g in applies {
+                flags.extend_from_slice(g.flags());
+            }
+            flags.join(", ")
+        };
         // Value-carrying flags may appear at most once. Letting a
         // repeated `--stats-out a --stats-out b` silently take the last
         // value hid real mistakes (a CI script concatenating flag sets
-        // clobbered its own output path); repetition is now a usage
-        // error, consistent with the `--threads 0` and malformed
-        // `--fault-script` rejections. Boolean toggles stay idempotent.
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut once = move |name: &'static str| -> Result<(), String> {
-            if seen.contains(&name) {
+        // clobbered its own output path). Boolean toggles stay
+        // idempotent.
+        let mut seen: Vec<String> = Vec::new();
+        while let Some(a) = it.next() {
+            if !is_flag(&a) {
+                cli.rest.push(a);
+                continue;
+            }
+            let (name, inline) = match a.split_once('=') {
+                Some((n, v)) => (n, Some(v)),
+                None => (a.as_str(), None),
+            };
+            let group = Shared::ALL.into_iter().find(|g| g.flags().contains(&name));
+            if group.is_none() && !OUTPUT_FLAGS.contains(&name) {
+                return Err(format!("unknown flag {name} (accepted: {})", accepted()));
+            }
+            if group.is_some_and(|g| !applies.contains(&g)) {
                 return Err(format!(
-                    "duplicate {name} flag: it may be given at most once \
-                     (an earlier value would be silently overridden)"
+                    "{name} is not applied by this benchmark and would be ignored \
+                     (accepted: {})",
+                    accepted()
                 ));
             }
-            seen.push(name);
-            Ok(())
-        };
-        while let Some(a) = it.next() {
-            let mut flag_with_value =
-                |prefix: &str, inline: Option<&str>| -> Result<PathBuf, String> {
-                    match inline {
-                        Some(v) => Ok(PathBuf::from(v)),
-                        None => it
-                            .next()
-                            .map(PathBuf::from)
-                            .ok_or_else(|| format!("{prefix} requires a value")),
-                    }
-                };
-            if a == "--json" {
-                cli.json = true;
-            } else if a == "--force" {
-                cli.force = true;
-            } else if a == "--no-fast-path" {
-                cli.fast_path = false;
-            } else if a == "--no-closed-form-noise" {
-                cli.closed_form_noise = false;
-            } else if a == "--engine" || a.starts_with("--engine=") {
-                once("--engine")?;
-                let v = flag_with_value("--engine", a.strip_prefix("--engine="))?;
-                let s = v.to_string_lossy();
-                cli.engine_backend = match s.as_ref() {
-                    "calendar" => bgsim::config::EngineBackend::Calendar,
-                    "heap" => bgsim::config::EngineBackend::Heap,
-                    other => {
-                        return Err(format!(
-                            "--engine must be \"heap\" or \"calendar\", got {other:?}"
-                        ))
-                    }
-                };
-            } else if a == "--compact-min-dead" || a.starts_with("--compact-min-dead=") {
-                once("--compact-min-dead")?;
-                let v =
-                    flag_with_value("--compact-min-dead", a.strip_prefix("--compact-min-dead="))?;
-                let s = v.to_string_lossy();
-                let n: usize = s.parse().map_err(|_| {
-                    format!("--compact-min-dead requires a positive integer, got {s:?}")
-                })?;
-                if n == 0 {
-                    return Err(
-                        "--compact-min-dead must be at least 1 (0 would compact on every \
-                         discard)"
-                            .to_string(),
-                    );
+            let toggle = || match inline {
+                Some(_) => Err(format!("{name} takes no value")),
+                None => Ok(true),
+            };
+            let mut value = || -> Result<String, String> {
+                if seen.iter().any(|f| f == name) {
+                    return Err(format!(
+                        "duplicate {name} flag: it may be given at most once \
+                         (an earlier value would be silently overridden)"
+                    ));
                 }
-                cli.compact_min_dead = Some(n);
-            } else if a == "--stats-out" || a.starts_with("--stats-out=") {
-                once("--stats-out")?;
-                cli.stats_out = Some(flag_with_value(
-                    "--stats-out",
-                    a.strip_prefix("--stats-out="),
-                )?);
-            } else if a == "--trace-out" || a.starts_with("--trace-out=") {
-                once("--trace-out")?;
-                cli.trace_out = Some(flag_with_value(
-                    "--trace-out",
-                    a.strip_prefix("--trace-out="),
-                )?);
-            } else if a == "--monitor-out" || a.starts_with("--monitor-out=") {
-                once("--monitor-out")?;
-                cli.monitor_out = Some(flag_with_value(
-                    "--monitor-out",
-                    a.strip_prefix("--monitor-out="),
-                )?);
-            } else if a == "--threads" || a.starts_with("--threads=") {
-                once("--threads")?;
-                let v = flag_with_value("--threads", a.strip_prefix("--threads="))?;
-                let s = v.to_string_lossy();
-                let n: usize = s
-                    .parse()
-                    .map_err(|_| format!("--threads requires a positive integer, got {s:?}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1 (got 0)".to_string());
+                seen.push(name.to_string());
+                match inline {
+                    Some(v) => Ok(v.to_string()),
+                    None => it.next().ok_or_else(|| format!("{name} requires a value")),
                 }
-                cli.threads = n;
-            } else if a == "--fault-seed" || a.starts_with("--fault-seed=") {
-                once("--fault-seed")?;
-                let v = flag_with_value("--fault-seed", a.strip_prefix("--fault-seed="))?;
-                let s = v.to_string_lossy();
-                let n: u64 = s
-                    .parse()
-                    .map_err(|_| format!("--fault-seed requires an unsigned integer, got {s:?}"))?;
-                cli.fault_seed = Some(n);
-            } else if a == "--fault-script" || a.starts_with("--fault-script=") {
-                once("--fault-script")?;
-                cli.fault_script = Some(flag_with_value(
-                    "--fault-script",
-                    a.strip_prefix("--fault-script="),
-                )?);
-            } else {
-                cli.rest.push(a);
+            };
+            match name {
+                "--json" => cli.json = toggle()?,
+                "--force" => cli.force = toggle()?,
+                "--no-fast-path" => cli.fast_path = !toggle()?,
+                "--no-closed-form-noise" => cli.closed_form_noise = !toggle()?,
+                "--stats-out" => cli.stats_out = Some(value()?.into()),
+                "--trace-out" => cli.trace_out = Some(value()?.into()),
+                "--monitor-out" => cli.monitor_out = Some(value()?.into()),
+                "--fault-script" => cli.fault_script = Some(value()?.into()),
+                "--threads" => {
+                    let s = value()?;
+                    let n: usize = s
+                        .parse()
+                        .map_err(|_| format!("--threads requires a positive integer, got {s:?}"))?;
+                    if n == 0 {
+                        return Err("--threads must be at least 1 (got 0)".to_string());
+                    }
+                    cli.threads = n;
+                }
+                "--fault-seed" => {
+                    let s = value()?;
+                    let n: u64 = s.parse().map_err(|_| {
+                        format!("--fault-seed requires an unsigned integer, got {s:?}")
+                    })?;
+                    cli.fault_seed = Some(n);
+                }
+                _ => unreachable!("{name} is in the flag tables but has no handler"),
             }
         }
         Ok(cli)
@@ -277,16 +269,29 @@ impl Cli {
     }
 }
 
+/// A flag starts with `-` followed by something other than a digit,
+/// so negative numbers still pass through as positional arguments.
+fn is_flag(arg: &str) -> bool {
+    arg.strip_prefix('-')
+        .and_then(|r| r.chars().next())
+        .is_some_and(|c| !c.is_ascii_digit())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Cli {
-        Cli::parse_from(args.iter().map(|s| s.to_string())).expect("args parse")
+        Cli::parse_from(args.iter().map(|s| s.to_string()), &Shared::ALL).expect("args parse")
     }
 
     fn parse_err(args: &[&str]) -> String {
-        Cli::parse_from(args.iter().map(|s| s.to_string())).expect_err("args should be rejected")
+        parse_err_for(args, &Shared::ALL)
+    }
+
+    fn parse_err_for(args: &[&str], applies: &[Shared]) -> String {
+        Cli::parse_from(args.iter().map(|s| s.to_string()), applies)
+            .expect_err("args should be rejected")
     }
 
     #[test]
@@ -370,43 +375,70 @@ mod tests {
     }
 
     #[test]
-    fn parses_engine_backend() {
-        use bgsim::config::EngineBackend;
-        assert_eq!(parse(&[]).engine_backend, EngineBackend::Calendar);
-        assert_eq!(
-            parse(&["--engine", "heap"]).engine_backend,
-            EngineBackend::Heap
-        );
-        assert_eq!(
-            parse(&["--engine=calendar"]).engine_backend,
-            EngineBackend::Calendar
-        );
-        let e = parse_err(&["--engine", "wheel"]);
-        assert!(e.contains("heap") && e.contains("calendar"), "{e}");
-        let e = parse_err(&["--engine"]);
-        assert!(e.contains("--engine requires a value"), "{e}");
-    }
-
-    #[test]
     fn parses_closed_form_noise_toggle() {
         assert!(parse(&[]).closed_form_noise);
         assert!(!parse(&["--no-closed-form-noise"]).closed_form_noise);
     }
 
     #[test]
-    fn compact_min_dead_rejects_zero_and_garbage() {
-        assert_eq!(parse(&[]).compact_min_dead, None);
-        assert_eq!(
-            parse(&["--compact-min-dead", "128"]).compact_min_dead,
-            Some(128)
+    fn rejects_unknown_flags() {
+        let e = parse_err(&["--thraeds", "4"]);
+        assert!(e.contains("unknown flag --thraeds"), "{e}");
+        // The deleted engine knobs are unknown now, not ignored.
+        let e = parse_err(&["--engine", "heap"]);
+        assert!(e.contains("unknown flag --engine"), "{e}");
+        let e = parse_err(&["--compact-min-dead=8"]);
+        assert!(e.contains("unknown flag --compact-min-dead"), "{e}");
+        let e = parse_err(&["-h"]);
+        assert!(e.contains("unknown flag -h"), "{e}");
+        // The message lists what the bin does accept.
+        let e = parse_err_for(&["--bogus"], &[Shared::Faults]);
+        assert!(
+            e.contains("--fault-seed") && !e.contains("--threads"),
+            "{e}"
         );
-        assert_eq!(parse(&["--compact-min-dead=9"]).compact_min_dead, Some(9));
-        // 0 would pass the parse but violate config validation; it is a
-        // clean usage error here, not a panic later.
-        let e = parse_err(&["--compact-min-dead", "0"]);
-        assert!(e.contains("at least 1"), "{e}");
-        let e = parse_err(&["--compact-min-dead", "lots"]);
-        assert!(e.contains("positive integer"), "{e}");
+        let e = parse_err(&["--json=yes"]);
+        assert!(e.contains("--json takes no value"), "{e}");
+    }
+
+    #[test]
+    fn positionals_still_pass_through() {
+        let c = parse(&["64", "512", "-3", "--json", "x"]);
+        assert_eq!(c.rest, vec!["64", "512", "-3", "x"]);
+        assert!(c.json);
+    }
+
+    #[test]
+    fn rejects_shared_flags_the_bin_does_not_apply() {
+        for (args, group) in [
+            (&["--threads", "2"][..], Shared::Threads),
+            (&["--no-fast-path"][..], Shared::Tuning),
+            (&["--no-closed-form-noise"][..], Shared::Tuning),
+            (&["--fault-seed", "13"][..], Shared::Faults),
+            (&["--fault-script=f.txt"][..], Shared::Faults),
+            (&["--monitor-out", "m.jsonl"][..], Shared::Monitor),
+        ] {
+            let others: Vec<Shared> = Shared::ALL.into_iter().filter(|&g| g != group).collect();
+            let e = parse_err_for(args, &others);
+            assert!(e.contains("not applied by this benchmark"), "{args:?}: {e}");
+            Cli::parse_from(args.iter().map(|s| s.to_string()), &[group])
+                .unwrap_or_else(|e| panic!("{args:?} under {group:?}: {e}"));
+        }
+        // Output flags are accepted by every bin.
+        let c = Cli::parse_from(
+            [
+                "--json",
+                "--force",
+                "--stats-out",
+                "s.json",
+                "--trace-out",
+                "t.json",
+            ]
+            .map(String::from),
+            &[],
+        )
+        .expect("output flags parse everywhere");
+        assert!(c.json && c.force);
     }
 
     #[test]
@@ -427,10 +459,6 @@ mod tests {
         assert!(e.contains("duplicate --monitor-out"), "{e}");
         let e = parse_err(&["--threads", "2", "--threads=4"]);
         assert!(e.contains("duplicate --threads"), "{e}");
-        let e = parse_err(&["--engine", "heap", "--engine", "calendar"]);
-        assert!(e.contains("duplicate --engine"), "{e}");
-        let e = parse_err(&["--compact-min-dead=4", "--compact-min-dead=8"]);
-        assert!(e.contains("duplicate --compact-min-dead"), "{e}");
         let e = parse_err(&["--fault-seed", "1", "--fault-seed", "2"]);
         assert!(e.contains("duplicate --fault-seed"), "{e}");
         let e = parse_err(&["--fault-script", "a", "--fault-script", "b"]);

@@ -87,29 +87,23 @@ impl FwqRun {
     }
 }
 
-/// Engine tuning knobs shared by the measuring bins: everything a run
-/// can toggle without changing its simulated outputs. Every combination
-/// is digest-identical by contract; the struct exists so bins can sweep
-/// and cross-check the combinations from one CLI surface.
+/// Engine tuning knobs shared by the measuring bins: the two toggles a
+/// run can flip without changing its simulated outputs. Each selects
+/// between an optimization and the reference it is digest-pinned
+/// against.
 #[derive(Clone, Copy, Debug)]
 pub struct Tuning {
     /// Event-reduction fast path (`--no-fast-path` disables).
     pub fast_path: bool,
-    /// Event-queue backend (`--engine {heap,calendar}`).
-    pub engine_backend: bgsim::config::EngineBackend,
     /// Closed-form FWK noise (`--no-closed-form-noise` disables).
     pub closed_form_noise: bool,
-    /// Engine compaction floor override (`--compact-min-dead`).
-    pub compact_min_dead: Option<usize>,
 }
 
 impl Default for Tuning {
     fn default() -> Tuning {
         Tuning {
             fast_path: true,
-            engine_backend: bgsim::config::EngineBackend::default(),
             closed_form_noise: true,
-            compact_min_dead: None,
         }
     }
 }
@@ -119,13 +113,11 @@ impl Tuning {
     pub fn from_cli(cli: &crate::cli::Cli) -> Tuning {
         Tuning {
             fast_path: cli.fast_path,
-            engine_backend: cli.engine_backend,
             closed_form_noise: cli.closed_form_noise,
-            compact_min_dead: cli.compact_min_dead,
         }
     }
 
-    /// A fast-path-only override, for callers predating the other knobs.
+    /// A fast-path-only override.
     pub fn fast_path(fast_path: bool) -> Tuning {
         Tuning {
             fast_path,
@@ -135,14 +127,8 @@ impl Tuning {
 
     /// Apply the knobs to a machine config.
     pub fn apply(&self, cfg: MachineConfig) -> MachineConfig {
-        let cfg = cfg
-            .with_fast_path(self.fast_path)
-            .with_engine_backend(self.engine_backend)
-            .with_closed_form_noise(self.closed_form_noise);
-        match self.compact_min_dead {
-            Some(floor) => cfg.with_compact_min_dead(floor),
-            None => cfg,
-        }
+        cfg.with_fast_path(self.fast_path)
+            .with_closed_form_noise(self.closed_form_noise)
     }
 }
 
@@ -173,8 +159,8 @@ pub fn run_fwq_faulted(
     run_fwq_tuned(kind, samples, seed, &Tuning::fast_path(fast_path), faults)
 }
 
-/// [`run_fwq_faulted`] with the full engine-tuning surface (backend,
-/// closed-form noise, compaction floor). All combinations produce
+/// [`run_fwq_faulted`] with the full engine-tuning surface (fast path
+/// and closed-form noise). All combinations produce
 /// bit-identical digests and counters; only `wall_seconds` may differ.
 pub fn run_fwq_tuned(
     kind: KernelKind,

@@ -163,7 +163,7 @@ mod tests {
     fn entry(digest: u64) -> CachedResult {
         CachedResult {
             kernel: "cnk".to_string(),
-            mode: "seq+fast+cal+cf".to_string(),
+            mode: "seq+fast+cf".to_string(),
             outcome: "completed".to_string(),
             final_cycle: 12_345,
             digest,

@@ -6,10 +6,10 @@
 //!
 //! * `config` uses [`MachineConfig::semantic_digest`], which already
 //!   excludes every knob the differential checker proves digest-neutral
-//!   (fast path, engine backend, closed-form noise, window sizing);
+//!   (fast path, closed-form noise, window sizing);
 //! * the execution [`Mode`](bgcheck::runner::Mode) is omitted entirely
-//!   for the same reason — a windowed binary-heap run and a sequential
-//!   calendar run of the same job must share one cache entry.
+//!   for the same reason — a windowed per-tick run and a sequential
+//!   closed-form run of the same job must share one cache entry.
 //!
 //! The payoff is that the cache doubles as a determinism audit: if two
 //! digest-neutral requests ever disagreed, the second would collide

@@ -9,7 +9,7 @@
 //! {"op":"ping"}
 //! {"op":"status"}
 //! {"op":"shutdown"}
-//! {"op":"submit","kernel":"cnk","mode":"seq+fast+cal+cf",
+//! {"op":"submit","kernel":"cnk","mode":"seq+fast+cf",
 //!  "nodes":2,"seed":"129","ops":[["compute",9000],["gettid"]],
 //!  "faults":{"seed":"7"}}
 //! ```

@@ -134,10 +134,10 @@ fn digest_neutral_modes_share_one_cache_entry() {
     let mut c = Client::connect(&ep).expect("connect");
     let seq = c.submit(CheckKernel::Fwk, MODES[0], &p).expect("seq");
     assert!(!seq.cached);
-    // A windowed binary-heap run of the same job: different execution
+    // A windowed per-tick run of the same job: different execution
     // mode, same key — answered from the cache, paranoid-verified by a
     // fresh run *in the requested mode*.
-    let win = c.submit(CheckKernel::Fwk, MODES[11], &p).expect("win");
+    let win = c.submit(CheckKernel::Fwk, MODES[5], &p).expect("win");
     assert!(win.cached, "digest-neutral mode must share the cache entry");
     assert_eq!(win.paranoid, "ok");
     assert_eq!(win.triple(), seq.triple());

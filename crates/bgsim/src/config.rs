@@ -205,32 +205,6 @@ impl ChipConfig {
     }
 }
 
-/// Which priority-queue structure backs each event domain in
-/// [`crate::engine::Engine`]. Both back the same two-level merge and pop
-/// the same global `(cycle, seq)` order bit-for-bit; the choice is pure
-/// host-performance tuning.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EngineBackend {
-    /// A calendar queue: a bucketed ring over the dense near-horizon
-    /// window with a `BinaryHeap` overflow for sparse/far-future events.
-    /// O(1) amortized insert/pop at steady event density — the default.
-    #[default]
-    Calendar,
-    /// The plain per-domain `BinaryHeap` of the original engine; the
-    /// reference structure the calendar is digest-pinned against.
-    Heap,
-}
-
-impl EngineBackend {
-    /// Stable label used in CLI parsing and report keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineBackend::Calendar => "calendar",
-            EngineBackend::Heap => "heap",
-        }
-    }
-}
-
 /// The whole simulated machine.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
@@ -274,10 +248,6 @@ pub struct MachineConfig {
     /// clamped to at least 1. Smaller windows mean more epoch barriers;
     /// windowing never changes results, only batching.
     pub lookahead: Option<u64>,
-    /// Steady-state pending events per domain. Queues grow lazily from
-    /// empty, so this is only used when `eager_layout` re-creates the
-    /// legacy pre-sized allocation.
-    pub event_capacity: usize,
     /// Enable the event-reduction fast path (op coalescing + quiescence
     /// fast-forward). Digest-identical to the plain engine by
     /// construction; disable (`--no-fast-path` on the bench bins) to
@@ -295,30 +265,11 @@ pub struct MachineConfig {
     /// default, and an empty schedule schedules no events at all — such
     /// runs are bit-identical to a build without fault injection.
     pub faults: crate::fault::FaultSchedule,
-    /// Event-queue structure backing each domain ([`EngineBackend`]).
-    /// Calendar by default; both settings pop bit-identically.
-    pub engine_backend: EngineBackend,
     /// Sample kernel noise/daemon timers analytically from a virtual
     /// timer wheel instead of scheduling one heap event per tick. Same
     /// RNG stream, same firing order, bit-identical digests; `false`
     /// falls back to the per-tick reference walker.
     pub closed_form_noise: bool,
-    /// Let the windowed driver jump whole quiescent epochs to the next
-    /// pending event (the parsim-style `min_at + lookahead` anchor) even
-    /// when the per-op fast path is disabled. Digest-identical either
-    /// way; `false` reverts to fixed `now + lookahead` windows.
-    pub epoch_fast_forward: bool,
-    /// Dead-entry floor before the engine considers a wholesale
-    /// compaction sweep of a domain queue (it still also requires dead >
-    /// live). Tunable per backend; must be at least 1.
-    pub compact_min_dead: usize,
-    /// Re-create the legacy eager memory layout: pre-sized per-domain
-    /// event queues, the one-shot `domains * capacity` slot reservation,
-    /// and fully materialized per-node/per-core columns (RNG streams,
-    /// futex tables, DAC files...). Reservation-only and therefore
-    /// digest-neutral; exists so the scale benchmarks can measure the
-    /// pre-refactor bytes/node against the lazy default. Off by default.
-    pub eager_layout: bool,
 }
 
 impl Default for MachineConfig {
@@ -339,16 +290,11 @@ impl Default for MachineConfig {
             telemetry: false,
             telemetry_capacity: 1 << 16,
             lookahead: None,
-            event_capacity: 32,
             fast_path: true,
             profiler: true,
             profiler_ring: 64,
             faults: crate::fault::FaultSchedule::default(),
-            engine_backend: EngineBackend::default(),
             closed_form_noise: true,
-            epoch_fast_forward: true,
-            compact_min_dead: 64,
-            eager_layout: false,
         }
     }
 }
@@ -423,40 +369,10 @@ impl MachineConfig {
         self
     }
 
-    /// Select the event-queue structure ([`EngineBackend`]). Either
-    /// backend pops the same `(cycle, seq)` order bit-for-bit.
-    pub fn with_engine_backend(mut self, backend: EngineBackend) -> MachineConfig {
-        self.engine_backend = backend;
-        self
-    }
-
     /// Toggle closed-form noise sampling (on by default). `false` is
     /// the per-tick reference walker the closed form is pinned against.
     pub fn with_closed_form_noise(mut self, on: bool) -> MachineConfig {
         self.closed_form_noise = on;
-        self
-    }
-
-    /// Toggle epoch-grained quiescence fast-forward in the windowed
-    /// driver (on by default; digest-identical either way).
-    pub fn with_epoch_fast_forward(mut self, on: bool) -> MachineConfig {
-        self.epoch_fast_forward = on;
-        self
-    }
-
-    /// Toggle the legacy eager memory layout (off by default; see the
-    /// `eager_layout` field). Digest-neutral — only the memory
-    /// footprint changes.
-    pub fn with_eager_layout(mut self, on: bool) -> MachineConfig {
-        self.eager_layout = on;
-        self
-    }
-
-    /// Tune the engine's dead-entry compaction floor (default 64).
-    /// Validation rejects 0 — a zero floor would compact on every
-    /// cancel and defeat lazy stale discard.
-    pub fn with_compact_min_dead(mut self, floor: usize) -> MachineConfig {
-        self.compact_min_dead = floor;
         self
     }
 
@@ -499,11 +415,10 @@ impl MachineConfig {
     /// Deliberately **excluded**, because each is proven digest-neutral
     /// by the differential checker (or is pure host-side
     /// observability): `seed` and `faults` (separate key components),
-    /// `fast_path`, `engine_backend`, `closed_form_noise`,
-    /// `epoch_fast_forward`, `lookahead`, `compact_min_dead`,
-    /// `event_capacity`, `eager_layout`, and the trace/telemetry/
-    /// profiler toggles. Folding those in would fragment a result cache
-    /// across equivalent modes for no behavioral difference.
+    /// `fast_path`, `closed_form_noise`, `lookahead`, and the
+    /// trace/telemetry/profiler toggles. Folding those in would fragment
+    /// a result cache across equivalent modes for no behavioral
+    /// difference.
     pub fn semantic_digest(&self) -> u64 {
         let mut h = DigestFold::new();
         self.chip.fold(&mut h);
@@ -540,9 +455,6 @@ impl MachineConfig {
                     self.nodes
                 ));
             }
-        }
-        if self.compact_min_dead == 0 {
-            return Err("compact_min_dead must be at least 1".into());
         }
         Ok(())
     }
@@ -633,20 +545,22 @@ mod tests {
     #[test]
     fn engine_tuning_knobs() {
         let c = MachineConfig::default();
-        assert_eq!(c.engine_backend, EngineBackend::Calendar);
+        assert!(c.fast_path);
         assert!(c.closed_form_noise);
-        assert!(c.epoch_fast_forward);
-        assert_eq!(c.compact_min_dead, 64);
-        let c = c
-            .with_engine_backend(EngineBackend::Heap)
-            .with_closed_form_noise(false)
-            .with_epoch_fast_forward(false)
-            .with_compact_min_dead(8);
+        let c = c.with_fast_path(false).with_closed_form_noise(false);
         c.validate().unwrap();
-        assert_eq!(c.engine_backend.label(), "heap");
-        assert_eq!(EngineBackend::Calendar.label(), "calendar");
-        let bad = MachineConfig::default().with_compact_min_dead(0);
-        assert!(bad.validate().is_err());
+        assert!(!c.fast_path && !c.closed_form_noise);
+    }
+
+    #[test]
+    fn semantic_digest_is_pinned() {
+        // The digest keys bgserve's result cache, including entries
+        // persisted under `--cache-dir`; adding or removing a config
+        // field must not silently move it.
+        assert_eq!(
+            MachineConfig::nodes(8).semantic_digest(),
+            0x8f44_4702_16fc_58b3
+        );
     }
 
     #[test]
@@ -660,11 +574,9 @@ mod tests {
             MachineConfig::nodes(8)
                 .with_seed(999)
                 .with_fast_path(false)
-                .with_engine_backend(EngineBackend::Heap)
                 .with_closed_form_noise(false)
                 .with_telemetry()
                 .with_trace()
-                .with_eager_layout(true)
                 .with_lookahead(17)
                 .semantic_digest()
         );

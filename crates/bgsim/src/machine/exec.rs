@@ -308,27 +308,23 @@ impl Machine {
         loop {
             let bound = {
                 let base = self.sc.now().saturating_add(lookahead);
-                if self.sc.cfg.fast_path || self.sc.cfg.epoch_fast_forward {
-                    // Quiescence fast-forward at the window level: if the
-                    // earliest pending event lies beyond the naive window,
-                    // every epoch until then would pop nothing. Jump the
-                    // window so it starts at that event — the same rule
-                    // parsim uses for its horizon (`min_at + lookahead`).
-                    // Pop order is untouched; only the number of empty
-                    // `ReachedCycle` epochs changes. Virtual kernel
-                    // timers count as pending events for this purpose.
-                    let head = match (self.sc.engine.peek_at(), self.sc.vtimers.peek_key()) {
-                        (Some(e), Some((v, _))) => Some(e.min(v)),
-                        (Some(e), None) => Some(e),
-                        (None, Some((v, _))) => Some(v),
-                        (None, None) => None,
-                    };
-                    match head {
-                        Some(at) if at > base => at.saturating_add(lookahead),
-                        _ => base,
-                    }
-                } else {
-                    base
+                // Quiescence fast-forward at the window level: if the
+                // earliest pending event lies beyond the naive window,
+                // every epoch until then would pop nothing. Jump the
+                // window so it starts at that event — the same rule
+                // parsim uses for its horizon (`min_at + lookahead`).
+                // Pop order is untouched; only the number of empty
+                // `ReachedCycle` epochs changes. Virtual kernel timers
+                // count as pending events for this purpose.
+                let head = match (self.sc.engine.peek_at(), self.sc.vtimers.peek_key()) {
+                    (Some(e), Some((v, _))) => Some(e.min(v)),
+                    (Some(e), None) => Some(e),
+                    (None, Some((v, _))) => Some(v),
+                    (None, None) => None,
+                };
+                match head {
+                    Some(at) if at > base => at.saturating_add(lookahead),
+                    _ => base,
                 }
             };
             match self.run_inner(Some(bound)) {

@@ -199,25 +199,10 @@ impl SimCore {
         }
         let cores = cfg.total_cores() as usize;
         let hub = RngHub::new(cfg.seed);
-        let mut engine = Engine::with_config(
-            cfg.nodes,
-            cfg.event_capacity,
-            cfg.engine_backend,
-            cfg.compact_min_dead,
-        );
-        let mut jitter = LazyStreams::new("dram-refresh");
-        if cfg.eager_layout {
-            // Scale-benchmark comparison mode: reproduce the legacy
-            // pre-sized layout (every domain queue reserved, every
-            // per-node stream materialized). Reservation-only, so it is
-            // digest-neutral by construction.
-            engine.materialize_eager(cfg.event_capacity);
-            jitter.materialize_eager(&hub, cfg.nodes as u64);
-        }
         SimCore {
             // One event domain per node; queues start empty and grow on
             // first use, so idle nodes cost nothing.
-            engine,
+            engine: Engine::new(cfg.nodes),
             torus: Torus::new(&cfg),
             coll: CollectiveNet::new(&cfg),
             barrier: BarrierNet::new(&cfg),
@@ -235,7 +220,7 @@ impl SimCore {
             } else {
                 Profiler::disabled()
             },
-            hub: hub.clone(),
+            hub,
             threads: Vec::new(),
             live_count: 0,
             dram: (0..cfg.nodes)
@@ -249,7 +234,7 @@ impl SimCore {
                 .collect(),
             running: vec![None; cores],
             streaming: vec![false; cores],
-            jitter,
+            jitter: LazyStreams::new("dram-refresh"),
             inflight: IdMap::new(),
             outages: Vec::new(),
             next_msg: 0,

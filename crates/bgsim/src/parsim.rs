@@ -222,7 +222,7 @@ impl ParSim {
             cells: logics
                 .into_iter()
                 .map(|logic| DomainCell {
-                    engine: Engine::new(),
+                    engine: Engine::new(1),
                     logic,
                     trace: Trace::new(false),
                     outbox: Vec::new(),
@@ -480,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_fast_forward_is_bit_identical_and_skips_cells() {
+    fn quiescent_cell_skipping_is_bit_identical() {
         // A ring keeps at most a few domains active per epoch — the
         // rest are quiescent and must be skipped, with the outcome and
         // per-cell digests unchanged from the drain-every-cell

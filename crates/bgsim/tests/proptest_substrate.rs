@@ -15,7 +15,7 @@ proptest! {
     /// Pop order is total: sorted by time, FIFO within a time.
     #[test]
     fn engine_total_order(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut e = Engine::new();
+        let mut e = Engine::new(1);
         for (i, &t) in times.iter().enumerate() {
             e.schedule(t, EvKind::Kernel { node: 0, tag: i as u64 });
         }
@@ -37,7 +37,7 @@ proptest! {
     /// the bound and parks the clock there.
     #[test]
     fn engine_clock_stop(times in prop::collection::vec(1u64..1000, 1..100), bound in 0u64..1000) {
-        let mut e = Engine::new();
+        let mut e = Engine::new(1);
         for &t in &times {
             e.schedule(t, EvKind::Kernel { node: 0, tag: 0 });
         }

@@ -389,15 +389,6 @@ impl Kernel for Fwk {
                 }
             }
         }
-        if sc.cfg.eager_layout {
-            // Legacy footprint: materialize every per-node column up
-            // front. Reservation only — the traces don't move.
-            self.futexes.resize_with(nodes, FutexTable::new);
-            self.next_frame.resize(nodes, FRAME_BASE);
-            self.dirty_bytes.resize(nodes, 0);
-            self.noise_rng.materialize_eager(&sc.hub, nodes as u64);
-            self.io_rng.materialize_eager(&sc.hub, nodes as u64);
-        }
         self.booted = true;
         crate::boot::boot_report(self.cfg.stripped)
     }
