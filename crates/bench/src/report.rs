@@ -390,8 +390,10 @@ mod tests {
     fn trace_helper_suffixes_filenames_and_guards_overwrite() {
         let dir = std::env::temp_dir().join(format!("bench_trace_helper_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut cli = Cli::default();
-        cli.trace_out = Some(dir.join("trace.json"));
+        let mut cli = Cli {
+            trace_out: Some(dir.join("trace.json")),
+            ..Cli::default()
+        };
         emit_traces_or_exit(&cli, &[("", "[]".to_string()), ("cnk", "[1]".to_string())]);
         assert_eq!(
             std::fs::read_to_string(dir.join("trace.json")).unwrap(),
@@ -467,8 +469,10 @@ mod tests {
         assert!(e.to_string().contains("--force"), "{e}");
         assert!(guard_overwrite(&path, true).is_ok());
         // emit() goes through the same guard.
-        let mut cli = Cli::default();
-        cli.stats_out = Some(path.clone());
+        let mut cli = Cli {
+            stats_out: Some(path.clone()),
+            ..Cli::default()
+        };
         let r = Report::new("guard");
         let e = r.emit(&cli).unwrap_err();
         assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists);

@@ -21,7 +21,8 @@ pub struct JobResult {
     pub digest: u64,
     pub coverage: u64,
     pub cached: bool,
-    /// `"off"`, `"ok"`, or `"mismatch"`.
+    /// `"off"`, `"ok"`, `"mismatch"`, or `"cancelled"` (the job was
+    /// cancelled before its verification re-run finished).
     pub paranoid: String,
     /// The cache key (16 hex digits) the server filed this job under.
     pub key: String,

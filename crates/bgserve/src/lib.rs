@@ -5,10 +5,10 @@
 //! partitions, and streams telemetry back to the submitter. This crate
 //! reproduces that control-system shape for the *simulated* machine: a
 //! persistent server accepts jobs — `(machine shape, seed, program,
-//! fault spec)` — over a Unix or TCP socket, multiplexes them onto a
-//! shared worker pool ([`bench::par::run_shards`]), and streams each
-//! session its job lifecycle as newline-delimited JSON (the same
-//! hand-rolled dialect `bgtop` already reads via
+//! fault spec)` — over a Unix or TCP socket, runs them on a shared
+//! work-conserving worker pool, and streams each session its job
+//! lifecycle as newline-delimited JSON (the same hand-rolled dialect
+//! `bgtop` already reads via
 //! [`bench::monitor::parse_json`] — no new dependencies).
 //!
 //! Because every simulation is deterministic, a completed job is a pure
@@ -28,7 +28,9 @@
 //! * [`cache`] — the LRU result cache, with an optional on-disk tier
 //!   written atomically via [`bench::report::write_atomic`];
 //! * [`proto`] — the wire protocol (requests, response events);
-//! * [`server`] — endpoint/bind/session/dispatcher machinery;
+//! * [`server`] — endpoint/bind/session machinery;
+//! * `pool` — the worker pool: persistent workers pulling jobs from
+//!   one shared queue, growing on demand up to `--threads`;
 //! * [`client`] — a small blocking client for the CLI and tests;
 //! * [`selfcheck`] — an in-process service-vs-oracle differential leg.
 
@@ -40,6 +42,7 @@
 pub mod cache;
 pub mod client;
 pub mod key;
+mod pool;
 pub mod proto;
 pub mod selfcheck;
 pub mod server;

@@ -94,7 +94,9 @@ pub enum Request {
     Shutdown,
     Submit(SubmitReq),
     /// Cancel an in-flight job by server-assigned id.
-    Cancel { job: u64 },
+    Cancel {
+        job: u64,
+    },
 }
 
 /// Live-job knobs on a submission (all optional; the default is the
@@ -403,8 +405,10 @@ pub fn telemetry_line(job: u64, snapshot_json: &str) -> String {
     format!("{{\"event\":\"telemetry\",\"job\":{job},\"snapshot\":{snapshot_json}}}")
 }
 
-/// The final event of a submission. `paranoid` is `"off"`, `"ok"`, or
-/// `"mismatch"`; `cached` tells whether the result came from the cache.
+/// The final event of a submission. `paranoid` is `"off"`, `"ok"`,
+/// `"mismatch"`, or `"cancelled"` (a cache hit whose verification re-run
+/// was cancelled: the cached triple stands unverified); `cached` tells
+/// whether the result came from the cache.
 pub fn result_line(
     job: u64,
     r: &CachedResult,
@@ -439,6 +443,10 @@ pub struct StatusSnapshot {
     pub cancelled: u64,
     pub timeouts: u64,
     pub session_drops: u64,
+    /// Host microseconds jobs have spent queued for a pool worker, and
+    /// running on one, summed over every job a worker has taken.
+    pub queue_us: u64,
+    pub run_us: u64,
 }
 
 pub fn status_line(s: &StatusSnapshot) -> String {
@@ -446,7 +454,8 @@ pub fn status_line(s: &StatusSnapshot) -> String {
         "{{\"event\":\"status\",\"proto\":{PROTO_VERSION},\"submitted\":{},\
          \"completed\":{},\"cache_entries\":{},\"cache_hits\":{},\
          \"cache_misses\":{},\"paranoid_checks\":{},\"paranoid_failures\":{},\
-         \"cancelled\":{},\"timeouts\":{},\"session_drops\":{}}}",
+         \"cancelled\":{},\"timeouts\":{},\"session_drops\":{},\
+         \"queue_us\":{},\"run_us\":{}}}",
         s.submitted,
         s.completed,
         s.cache_entries,
@@ -456,7 +465,9 @@ pub fn status_line(s: &StatusSnapshot) -> String {
         s.paranoid_failures,
         s.cancelled,
         s.timeouts,
-        s.session_drops
+        s.session_drops,
+        s.queue_us,
+        s.run_us
     )
 }
 

@@ -1,13 +1,13 @@
-//! The service node: endpoint plumbing, session threads, and the wave
-//! dispatcher that multiplexes every session's jobs onto one shared
-//! [`bench::par::run_shards_cancellable`] worker pool.
+//! The service node: endpoint plumbing, session threads, and the
+//! work-conserving worker pool that runs every session's jobs.
 //!
 //! Layout mirrors the real machine's control system: the listener is
 //! the service node's front door (one thread per connected submitter),
-//! the dispatcher is the job scheduler (batching concurrent
-//! submissions into waves so the pool stays busy without oversubscribing
-//! the host), and the monitor file is the rack's status display —
-//! published atomically so `bgtop` can tail it live.
+//! the pool is the job scheduler (up to `threads` persistent workers
+//! pull jobs from one shared queue, so a job starts the moment a worker
+//! is free and the host is never oversubscribed), and the monitor file
+//! is the rack's status display — published atomically so `bgtop` can
+//! tail it live.
 //!
 //! Jobs are *live* (the CNK property that the service node can watch
 //! and steer running work, not just collect exit codes):
@@ -25,36 +25,36 @@
 //!   only ever holds completed, deterministic triples;
 //! * a state-monitor tree (`server → sessions/<id> → jobs/<id>`) is
 //!   embedded in every published monitor snapshot for
-//!   `bgtop --sessions`.
+//!   `bgtop --sessions`; each job node shows its phase, cache status,
+//!   worker, and host time queued (`queue_us`) and running (`run_us`).
 //!
-//! Determinism note: batching shape never affects results. Each job is
-//! a self-contained simulation, and the shard pool collects by index,
-//! so whether two jobs share a wave or run in different waves is
-//! invisible in their `(outcome, final cycle, digest)` triples — the
-//! selfcheck and integration tests assert exactly that against
-//! one-shot runs. The progress hook is digest-, cycle-, and
-//! profile-neutral by construction (pinned by proptest), so a job
+//! Determinism note: scheduling never affects results. Each job is a
+//! self-contained simulation, so which worker runs it, and alongside
+//! which other jobs, is invisible in its `(outcome, final cycle,
+//! digest)` triple — the selfcheck and integration tests assert exactly
+//! that against one-shot runs. The progress hook is digest-, cycle-,
+//! and profile-neutral by construction (pinned by proptest), so a job
 //! submitted with `progress_cycles` reports the same triple as one
-//! without.
+//! without; the `worker`, `queue_us` and `run_us` stamps on `jobs/<id>`
+//! are host-clock readings outside the simulation.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bench::monitor::{snapshot_json, Monitor, StateNode};
-use bench::par::run_shards_cancellable;
 use bgcheck::program::Program;
-use bgcheck::runner::{run_mode_live, LiveOpts, CheckKernel, Mode, RunRecord};
+use bgcheck::runner::{LiveOpts, RunRecord};
 use bgsim::machine::{CancelCause, ProgressCtl, ProgressReport, ProgressSink};
 use bgsim::telemetry::ProfileSnapshot;
 use bgsim::CancelToken;
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::key::JobKey;
+use crate::pool::{Pool, WorkItem};
 use crate::proto::{self, Request, StatusSnapshot, SubmitReq};
 
 /// Minimum host time between mid-run monitor publishes triggered by
@@ -194,11 +194,8 @@ fn bind(ep: &Endpoint) -> Result<Listener, String> {
 /// Server configuration.
 pub struct ServeOpts {
     pub endpoint: Endpoint,
-    /// Worker-pool width (and maximum wave size).
+    /// Worker-pool width: at most this many jobs run at once.
     pub threads: usize,
-    /// How long the dispatcher waits to batch concurrent submissions
-    /// into one wave before running a partial one.
-    pub grace_ms: u64,
     pub cache_cap: usize,
     /// Optional persistent cache tier directory.
     pub cache_dir: Option<PathBuf>,
@@ -215,7 +212,6 @@ impl ServeOpts {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            grace_ms: 5,
             cache_cap: 256,
             cache_dir: None,
             paranoid: false,
@@ -259,10 +255,12 @@ struct State {
     registry: Mutex<HashMap<u64, CancelToken>>,
     /// Root of the live state-monitor tree (the `server` node).
     tree: StateNode,
+    pool: Pool,
 }
 
 impl State {
     fn status(&self) -> StatusSnapshot {
+        let (queue_us, run_us) = self.pool.times_us();
         StatusSnapshot {
             submitted: self.stats.submitted.load(Ordering::Relaxed),
             completed: self.stats.completed.load(Ordering::Relaxed),
@@ -274,6 +272,8 @@ impl State {
             cancelled: self.stats.cancelled.load(Ordering::Relaxed),
             timeouts: self.stats.timeouts.load(Ordering::Relaxed),
             session_drops: self.stats.session_drops.load(Ordering::Relaxed),
+            queue_us,
+            run_us,
         }
     }
 
@@ -380,111 +380,6 @@ fn drop_session(state: &State, shared: &SessionShared) {
     }
 }
 
-/// One queued job: the resolved program, its live-run knobs (cancel
-/// token included), the progress sink, and the session's reply slot.
-struct WorkItem {
-    program: Program,
-    kernel: CheckKernel,
-    mode: Mode,
-    live: LiveOpts,
-    sink: Option<Box<dyn ProgressSink>>,
-    /// `jobs/<id>` node to stamp with the wave id (absent for paranoid
-    /// re-runs, which have no client-visible job of their own).
-    node: Option<StateNode>,
-    /// `None`: the job's token was already cancelled when its wave
-    /// formed — it never ran.
-    reply: Sender<Option<Result<(RunRecord, ProfileSnapshot), String>>>,
-}
-
-/// The wave dispatcher: collect up to `threads` jobs (waiting at most
-/// `grace` for stragglers once the first arrives), run the wave through
-/// the shard pool, send each result home, repeat until every sender is
-/// gone. Jobs whose cancel token is already set when the wave forms are
-/// skipped without simulating a cycle.
-fn dispatcher(rx: Receiver<WorkItem>, threads: usize, grace: Duration) {
-    let mut wave_id = 0u64;
-    loop {
-        let first = match rx.recv() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let mut wave = vec![first];
-        let deadline = Instant::now() + grace;
-        while wave.len() < threads.max(1) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(w) => wave.push(w),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        wave_id += 1;
-        let mut replies = Vec::with_capacity(wave.len());
-        let mut jobs = Vec::with_capacity(wave.len());
-        for w in wave {
-            if let Some(node) = &w.node {
-                node.set("wave", wave_id);
-                node.set("phase", "running");
-            }
-            replies.push(w.reply);
-            let token = w.live.cancel.clone().unwrap_or_default();
-            let (p, k, m, live, sink) = (w.program, w.kernel, w.mode, w.live, w.sink);
-            jobs.push((token, move || run_mode_live(&p, k, m, live, sink)));
-        }
-        let results = run_shards_cancellable(threads, jobs);
-        for (reply, r) in replies.into_iter().zip(results) {
-            let _ = reply.send(r);
-        }
-    }
-}
-
-/// Enqueue one live job and block for its result. `Ok(None)`: the job
-/// was cancelled before its wave started.
-fn dispatch_live(
-    work: &Sender<WorkItem>,
-    program: Program,
-    kernel: CheckKernel,
-    mode: Mode,
-    live: LiveOpts,
-    sink: Option<Box<dyn ProgressSink>>,
-    node: Option<StateNode>,
-) -> Result<Option<(RunRecord, ProfileSnapshot)>, String> {
-    let (tx, rx) = mpsc::channel();
-    work.send(WorkItem {
-        program,
-        kernel,
-        mode,
-        live,
-        sink,
-        node,
-        reply: tx,
-    })
-    .map_err(|_| "dispatcher is gone".to_string())?;
-    match rx
-        .recv()
-        .map_err(|_| "dispatcher dropped the job".to_string())?
-    {
-        None => Ok(None),
-        Some(Ok(r)) => Ok(Some(r)),
-        Some(Err(e)) => Err(e),
-    }
-}
-
-/// Plain (non-cancellable) dispatch: the paranoid re-run path. The
-/// fresh run deliberately does *not* share the client job's cancel
-/// token — a cancelled verification would read as a paranoid mismatch.
-fn dispatch(
-    work: &Sender<WorkItem>,
-    program: Program,
-    kernel: CheckKernel,
-    mode: Mode,
-) -> Result<(RunRecord, ProfileSnapshot), String> {
-    dispatch_live(work, program, kernel, mode, LiveOpts::default(), None, None)?
-        .ok_or_else(|| "job skipped without a cancel token".to_string())
-}
-
 fn cached_of(rec: &RunRecord, profile: Option<ProfileSnapshot>) -> CachedResult {
     CachedResult {
         kernel: rec.kernel.to_string(),
@@ -543,7 +438,6 @@ fn progress_sink(
 /// `timeout`) are reported but never cached.
 fn handle_submit(
     state: &Arc<State>,
-    work: &Sender<WorkItem>,
     req: &SubmitReq,
     shared: &Arc<SessionShared>,
 ) -> std::io::Result<()> {
@@ -571,7 +465,7 @@ fn handle_submit(
     jnode.set("mode", req.mode.label());
 
     let res = handle_submit_inner(
-        state, work, req, shared, program, job, kd, &key_hex, &token, &jnode,
+        state, req, shared, program, job, kd, &key_hex, &token, &jnode,
     );
 
     // Deregister BEFORE the final line goes out: the moment the client
@@ -596,7 +490,6 @@ fn handle_submit(
 #[allow(clippy::too_many_arguments)]
 fn handle_submit_inner(
     state: &Arc<State>,
-    work: &Sender<WorkItem>,
     req: &SubmitReq,
     shared: &Arc<SessionShared>,
     program: Program,
@@ -614,48 +507,51 @@ fn handle_submit_inner(
         jnode.set("cache", "hit");
         let mut paranoid = "off";
         if state.paranoid {
-            jnode.set("phase", "paranoid");
             state.stats.paranoid_checks.fetch_add(1, Ordering::Relaxed);
-            match dispatch(work, program, req.kernel, req.mode) {
-                Ok((rec, _)) => {
-                    let fresh = (rec.outcome.clone(), rec.final_cycle, rec.digest);
-                    if fresh == entry.triple() {
-                        paranoid = "ok";
-                    } else {
-                        paranoid = "mismatch";
-                        state
-                            .stats
-                            .paranoid_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        send_shared(
-                            state,
-                            shared,
-                            &proto::error_line(&format!(
-                                "paranoid mismatch on key {key_hex}: cached \
-                                 outcome={} cycle={} digest={:016x}, fresh \
-                                 outcome={} cycle={} digest={:016x}",
-                                entry.outcome,
-                                entry.final_cycle,
-                                entry.digest,
-                                rec.outcome,
-                                rec.final_cycle,
-                                rec.digest
-                            )),
-                        )?;
-                    }
-                }
-                Err(e) => {
-                    paranoid = "mismatch";
-                    state
-                        .stats
-                        .paranoid_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    send_shared(
-                        state,
-                        shared,
-                        &proto::error_line(&format!("paranoid re-run failed: {e}")),
-                    )?;
-                }
+            // The re-run carries the job's own token, so a `cancel` or a
+            // disconnect stops it too. A cancelled verification proves
+            // nothing either way: it is neither a failure nor a reason
+            // to touch the cache.
+            let live = LiveOpts {
+                cancel: Some(token.clone()),
+                ..LiveOpts::default()
+            };
+            let fresh = state.pool.run(WorkItem {
+                program,
+                kernel: req.kernel,
+                mode: req.mode,
+                live,
+                sink: None,
+                node: jnode.clone(),
+                phase: "paranoid",
+            });
+            let failure;
+            (paranoid, failure) = match fresh {
+                Ok(None) => ("cancelled", None),
+                Ok(Some((rec, _))) if rec.outcome == "cancelled" => ("cancelled", None),
+                Ok(Some((rec, _))) if rec.triple() == entry.triple() => ("ok", None),
+                Ok(Some((rec, _))) => (
+                    "mismatch",
+                    Some(format!(
+                        "paranoid mismatch on key {key_hex}: cached \
+                         outcome={} cycle={} digest={:016x}, fresh \
+                         outcome={} cycle={} digest={:016x}",
+                        entry.outcome,
+                        entry.final_cycle,
+                        entry.digest,
+                        rec.outcome,
+                        rec.final_cycle,
+                        rec.digest
+                    )),
+                ),
+                Err(e) => ("mismatch", Some(format!("paranoid re-run failed: {e}"))),
+            };
+            if let Some(msg) = failure {
+                state
+                    .stats
+                    .paranoid_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                send_shared(state, shared, &proto::error_line(&msg))?;
             }
         }
         if let Some(p) = &entry.profile {
@@ -677,23 +573,19 @@ fn handle_submit_inner(
         timeout_wall_ms: req.live.timeout_wall_ms,
         progress_cycles: req.live.progress_cycles,
     };
-    let sink = req.live.progress_cycles.map(|_| {
-        progress_sink(
-            Arc::clone(state),
-            Arc::clone(shared),
-            jnode.clone(),
-            job,
-        )
-    });
-    match dispatch_live(
-        work,
+    let sink = req
+        .live
+        .progress_cycles
+        .map(|_| progress_sink(Arc::clone(state), Arc::clone(shared), jnode.clone(), job));
+    match state.pool.run(WorkItem {
         program,
-        req.kernel,
-        req.mode,
+        kernel: req.kernel,
+        mode: req.mode,
         live,
         sink,
-        Some(jnode.clone()),
-    ) {
+        node: jnode.clone(),
+        phase: "running",
+    }) {
         Ok(None) => {
             // Cancelled while still queued: never simulated a cycle.
             state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -746,7 +638,7 @@ fn poke(ep: &Endpoint) {
     let _ = ep.connect();
 }
 
-fn session(stream: Stream, state: Arc<State>, work: Sender<WorkItem>) {
+fn session(stream: Stream, state: Arc<State>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -800,9 +692,8 @@ fn session(stream: Stream, state: Arc<State>, work: Sender<WorkItem>) {
             Ok(Request::Submit(req)) => {
                 let st = Arc::clone(&state);
                 let sh = Arc::clone(&shared);
-                let wk = work.clone();
                 stewards.push(std::thread::spawn(move || {
-                    let _ = handle_submit(&st, &wk, &req, &sh);
+                    let _ = handle_submit(&st, &req, &sh);
                 }));
                 stewards.retain(|h| !h.is_finished());
                 Ok(())
@@ -826,7 +717,7 @@ fn session(stream: Stream, state: Arc<State>, work: Sender<WorkItem>) {
 pub struct ServerHandle {
     endpoint: Endpoint,
     accept: std::thread::JoinHandle<()>,
-    dispatch: std::thread::JoinHandle<()>,
+    state: Arc<State>,
 }
 
 impl ServerHandle {
@@ -846,9 +737,7 @@ impl ServerHandle {
         self.accept
             .join()
             .map_err(|_| "accept loop panicked".to_string())?;
-        self.dispatch
-            .join()
-            .map_err(|_| "dispatcher panicked".to_string())
+        self.state.pool.join()
     }
 }
 
@@ -858,7 +747,7 @@ impl ServerHandle {
 pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
     let listener = bind(&opts.endpoint)?;
     let threads = opts.threads.max(1);
-    let grace = Duration::from_millis(opts.grace_ms);
+    let pool = Pool::new(threads)?;
     let tree = StateNode::new();
     tree.set("endpoint", opts.endpoint.label());
     tree.set("threads", threads);
@@ -887,13 +776,12 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
         }),
         registry: Mutex::new(HashMap::new()),
         tree,
+        pool,
     });
-
-    let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
-    let dispatch = std::thread::spawn(move || dispatcher(work_rx, threads, grace));
 
     let endpoint = opts.endpoint;
     let ep = endpoint.clone();
+    let served = Arc::clone(&state);
     let accept = std::thread::spawn(move || {
         let mut sessions = Vec::new();
         loop {
@@ -901,17 +789,17 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
                 Ok(s) => s,
                 Err(_) => break,
             };
-            if state.stop.load(Ordering::SeqCst) {
+            if served.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let st = Arc::clone(&state);
-            let tx = work_tx.clone();
-            sessions.push(std::thread::spawn(move || session(stream, st, tx)));
+            let st = Arc::clone(&served);
+            sessions.push(std::thread::spawn(move || session(stream, st)));
         }
         for h in sessions {
             let _ = h.join();
         }
-        drop(work_tx); // last sender: the dispatcher drains and exits
+        // No session is left to submit: the workers finish and exit.
+        served.pool.close();
         if let Endpoint::Unix(path) = &ep {
             let _ = std::fs::remove_file(path);
         }
@@ -920,7 +808,7 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
     Ok(ServerHandle {
         endpoint,
         accept,
-        dispatch,
+        state,
     })
 }
 

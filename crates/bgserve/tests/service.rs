@@ -2,7 +2,8 @@
 //! paranoid verification, mode-neutral cache sharing, LRU eviction,
 //! TCP endpoints, protocol-error recovery, the live monitor file, and
 //! the live-job paths (cancellation, cycle/wall timeouts, progress
-//! streaming, disconnect auto-cancel).
+//! streaming, disconnect auto-cancel), and the worker pool's scheduling
+//! (a free worker takes a short job while a long one runs).
 
 use std::path::PathBuf;
 
@@ -74,7 +75,6 @@ fn concurrent_sessions_match_sequential_oneshots() {
     let ep = sock("concurrent");
     let mut opts = ServeOpts::new(ep.clone());
     opts.threads = 4;
-    opts.grace_ms = 2;
     let handle = spawn(opts).expect("spawn");
 
     let programs: Vec<Program> = (0..4).map(|i| generate(7000 + i)).collect();
@@ -319,8 +319,15 @@ fn cycle_timeout_is_deterministic_and_never_cached() {
     let t2 = c
         .submit_live(CheckKernel::Fwk, MODES[LIVE_MODE], &p, live)
         .expect("t2");
-    assert!(!t2.cached, "interrupted triple was memoized (poisoned cache)");
-    assert_eq!(t2.triple(), t1.triple(), "cycle timeouts must be deterministic");
+    assert!(
+        !t2.cached,
+        "interrupted triple was memoized (poisoned cache)"
+    );
+    assert_eq!(
+        t2.triple(),
+        t1.triple(),
+        "cycle timeouts must be deterministic"
+    );
 
     // Without the budget the job completes, matches the oracle, and
     // only *that* triple enters the cache.
@@ -372,11 +379,10 @@ fn wall_timeout_interrupts_a_runaway_job() {
 }
 
 #[test]
-fn cancel_before_wave_skips_the_run_entirely() {
+fn cancel_before_start_skips_the_run_entirely() {
     let ep = sock("cancel-queued");
     let mut opts = ServeOpts::new(ep.clone());
     opts.threads = 1; // single-slot pool: job A saturates it
-    opts.grace_ms = 1;
     let handle = spawn(opts).expect("spawn");
 
     std::thread::scope(|s| {
@@ -430,7 +436,7 @@ fn cancel_before_wave_skips_the_run_entirely() {
         assert_eq!(
             (rb.final_cycle, rb.digest),
             (0, 0),
-            "a job cancelled before its wave must never simulate a cycle"
+            "a job cancelled before a worker takes it must never simulate a cycle"
         );
         assert!(!rb.cached);
 
@@ -439,6 +445,138 @@ fn cancel_before_wave_skips_the_run_entirely() {
         assert_eq!(status.path_num(&["timeouts"]), Some(1.0));
         c3.shutdown().expect("shutdown");
     });
+    handle.join().expect("join");
+}
+
+#[test]
+fn a_short_job_overtakes_a_long_one_on_a_free_worker() {
+    let ep = sock("overtake");
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 2;
+    let handle = spawn(opts).expect("spawn");
+
+    std::thread::scope(|s| {
+        // Session A, on the raw protocol: a runaway job that holds one
+        // worker until its wall backstop stops it. Its first `progress`
+        // line proves it is running before B is submitted.
+        let (running_tx, running_rx) = std::sync::mpsc::channel();
+        let ep_a = ep.clone();
+        let a = s.spawn(move || {
+            use std::io::{BufRead, BufReader, Write};
+            let stream = ep_a.connect().expect("connect a");
+            let mut w = stream.try_clone().expect("clone");
+            let line = bgserve::proto::submit_line_live(
+                CheckKernel::Fwk,
+                MODES[LIVE_MODE],
+                &long_program(0x0A7E, 1_000_000_000_000),
+                LiveReq {
+                    timeout_wall_ms: Some(2_000),
+                    progress_cycles: Some(50_000_000),
+                    ..Default::default()
+                },
+            );
+            writeln!(w, "{line}").expect("write");
+            w.flush().expect("flush");
+            for reply in BufReader::new(stream).lines() {
+                let v = bench::monitor::parse_json(&reply.expect("read")).expect("parse");
+                match v.get("event").and_then(|e| e.str()) {
+                    Some("progress") => {
+                        let _ = running_tx.send(());
+                    }
+                    Some("result") => {
+                        let outcome = v.get("outcome").and_then(|o| o.str()).map(String::from);
+                        return (outcome, std::time::Instant::now());
+                    }
+                    _ => {}
+                }
+            }
+            panic!("session A closed without a result");
+        });
+        running_rx.recv().expect("job A never reported progress");
+
+        // Session B: a short job submitted while A runs. The second
+        // worker takes it at once; it must not wait for A.
+        let mut c = Client::connect(&ep).expect("connect b");
+        let rb = c
+            .submit(CheckKernel::Cnk, MODES[0], &small_program(0x0B))
+            .expect("submit b");
+        let b_done = std::time::Instant::now();
+        assert_eq!(rb.outcome, "completed");
+
+        let (a_outcome, a_done) = a.join().expect("join a");
+        assert_eq!(
+            a_outcome.as_deref(),
+            Some("timeout"),
+            "A ends on its backstop"
+        );
+        assert!(
+            b_done < a_done,
+            "the short job's result must arrive before the long job's"
+        );
+        c.shutdown().expect("shutdown");
+    });
+    handle.join().expect("join");
+}
+
+#[test]
+fn a_cancelled_paranoid_rerun_is_not_a_failure() {
+    let ep = sock("paranoid-cancel");
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 2;
+    opts.paranoid = true;
+    let handle = spawn(opts).expect("spawn");
+
+    // A job long enough (~0.5 s) that a cancel 100 ms into its
+    // re-run lands mid-run, run once to completion so it is cached.
+    let p = long_program(0x9A2A, 20_000_000_000);
+    let mut c = Client::connect(&ep).expect("connect");
+    let first = c
+        .submit(CheckKernel::Fwk, MODES[LIVE_MODE], &p)
+        .expect("first");
+    assert_eq!(first.outcome, "completed");
+    assert!(!first.cached);
+
+    std::thread::scope(|s| {
+        // Job 2 hits the cache; cancel its verification re-run. The
+        // re-run streams nothing, so the 100 ms wait only makes a
+        // mid-run cancel likely: a cancel that lands before a worker
+        // takes the re-run must give the same answer.
+        let ep_b = ep.clone();
+        let p = &p;
+        let b = s.spawn(move || {
+            let mut c = Client::connect(&ep_b).expect("connect b");
+            c.submit(CheckKernel::Fwk, MODES[LIVE_MODE], p)
+                .expect("submit b")
+        });
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !c.cancel(2).expect("cancel") {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job 2 never became cancellable"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let rb = b.join().expect("join b");
+        assert!(rb.cached);
+        assert_eq!(rb.paranoid, "cancelled");
+        assert_eq!(rb.triple(), first.triple(), "the cached triple stands");
+        assert!(rb.warnings.is_empty(), "{:?}", rb.warnings);
+    });
+
+    let status = c.status().expect("status");
+    assert_eq!(status.path_num(&["paranoid_checks"]), Some(1.0));
+    assert_eq!(status.path_num(&["paranoid_failures"]), Some(0.0));
+    // The cache entry is untouched: the next hit verifies cleanly.
+    let third = c
+        .submit(CheckKernel::Fwk, MODES[LIVE_MODE], &p)
+        .expect("third");
+    assert!(third.cached);
+    assert_eq!(third.paranoid, "ok");
+    assert_eq!(third.triple(), first.triple());
+
+    c.shutdown().expect("shutdown");
+    drop(c);
     handle.join().expect("join");
 }
 

@@ -382,8 +382,10 @@ mod tests {
         r.add(c, Slot::Machine, u64::MAX - 1);
         r.add(c, Slot::Machine, 5);
         assert_eq!(r.value("sat", Slot::Machine), Some(u64::MAX));
-        let mut h = Hist::default();
-        h.count = u64::MAX;
+        let mut h = Hist {
+            count: u64::MAX,
+            ..Hist::default()
+        };
         h.buckets[0] = u64::MAX;
         h.record(0);
         assert_eq!(h.count(), u64::MAX);
